@@ -115,7 +115,7 @@ def test_sketch_probe(benchmark, seqs):
 
 
 def test_gapped_extension(benchmark, seqs):
-    """Reference workload, production (wavefront) kernel."""
+    """Reference workload, production (band) kernel."""
     query, subject = seqs
     ext = benchmark(
         extend_gapped, query, subject, 30_000, 60_000, 1, -3, 5, 2, 15
@@ -133,8 +133,8 @@ def test_gapped_extension_rowloop_oracle(benchmark, seqs):
     assert ext.score > 1000
 
 
-def test_gapped_wavefront_speedup_ratio(seqs):
-    """Gate: the wavefront kernel must be ≥3× the row-loop oracle.
+def test_gapped_band_speedup_ratio(seqs):
+    """Gate: the band kernel must be ≥3× the row-loop oracle.
 
     Uses best-of-N wall times (not pytest-benchmark) so the assert is robust
     to scheduler noise, and checks byte-identical results along the way.
@@ -155,14 +155,14 @@ def test_gapped_wavefront_speedup_ratio(seqs):
             best = min(best, time.perf_counter() - t0)
         return best, result
 
-    t_wave, r_wave = best_of("wavefront")
+    t_band, r_band = best_of("band")
     t_row, r_row = best_of("rowloop")
-    assert r_wave.score == r_row.score
-    assert np.array_equal(r_wave.path, r_row.path)
-    ratio = t_row / t_wave
+    assert r_band.score == r_row.score
+    assert np.array_equal(r_band.path, r_row.path)
+    ratio = t_row / t_band
     print(f"\ngapped extension: rowloop {t_row*1e3:.0f}ms / "
-          f"wavefront {t_wave*1e3:.0f}ms = {ratio:.2f}x")
-    assert ratio >= 3.0, f"wavefront speedup {ratio:.2f}x below the 3x floor"
+          f"band {t_band*1e3:.0f}ms = {ratio:.2f}x")
+    assert ratio >= 3.0, f"band speedup {ratio:.2f}x below the 3x floor"
 
 
 def test_smith_waterman(benchmark):

@@ -7,28 +7,29 @@ of the best score stays alive — exactly the pruning the paper describes.
 
 Two interchangeable kernels compute each half:
 
-* ``kernel="wavefront"`` (default) — the batched kernel in
-  :mod:`repro.blast.wavefront`: substitution scores are materialized in
-  block wavefront tiles, the band advances through preallocated buffers
-  with a handful of ``out=`` NumPy calls per row, and traceback runs over a
-  dense band plane in vectorized runs. This is the production path.
-* ``kernel="rowloop"`` — the original reference implementation kept in this
-  module: one interpreter iteration per query row, each row vectorized.
-  It serves as the differential-testing oracle
-  (``tests/blast/test_gapped_diff.py`` proves the two byte-identical:
-  same scores, endpoints, and op paths, under both drop rules).
+* ``kernel="band"`` (default) — the production kernel: a scalar loop on
+  plain Python ints over the live cells of each row. At the shipped x-drop
+  (15) the band is ~11 cells wide, so a row costs less as a dozen scalar
+  cell updates than as a dozen NumPy calls (DESIGN §4.1.1). It reads each
+  half's bases in place — the left half by walking the sequences backwards
+  from the anchor — and converts only the stretch the band reaches.
+* ``kernel="rowloop"`` — the reference implementation: one interpreter
+  iteration per query row, each row vectorized with NumPy. It serves as the
+  differential-testing oracle (``tests/blast/test_gapped_diff.py`` proves
+  the two byte-identical: same scores, endpoints, and op paths, under both
+  drop rules).
 
-Both kernels use the same telescoped identity for the within-row horizontal
-affine dependency — a gap opened from a cell that itself ends in a
-horizontal gap is dominated by one longer gap (one ``gap_open`` instead of
-two), so
+Both kernels compute the same within-row horizontal affine dependency. A
+gap opened from a cell that itself ends in a horizontal gap is dominated by
+one longer gap (one ``gap_open`` instead of two), so
 
     E[j] = max_{k<j} (base[k] − gap_open − gap_extend·(j−k))
          = cummax(base + gap_extend·k) − gap_open − gap_extend·j
 
-with ``base = max(diagonal term, vertical term)``, making a row two
-``np.maximum.accumulate``-class passes. Property tests check this row against
-a naive scalar DP.
+with ``base = max(diagonal term, vertical term)``. The oracle evaluates the
+right-hand side as one ``np.maximum.accumulate`` pass; the band kernel
+carries the left-hand side's running maximum from cell to cell. Property
+tests check this row against a naive scalar DP.
 
 Speculative mode (paper Section III-B1): Orion extends boundary partials with
 the *absolute* drop rule — scoring starts at 0 and extension continues until
@@ -44,14 +45,21 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.blast.hsp import OP_DIAG, OP_QGAP, OP_SGAP
-from repro.blast.wavefront import wavefront_half_extension
 
 #: "Minus infinity" for integer DP cells (large enough headroom that adding
 #: substitution scores can never wrap).
 NEG_INF = np.int64(-(2**40))
 
-#: Selectable DP kernels (see module docstring).
-KERNELS = ("wavefront", "rowloop")
+#: Selectable DP kernels (see module docstring); the first is the default.
+KERNELS = ("band", "rowloop")
+
+
+def check_kernel(kernel: str) -> None:
+    """Raise ``ValueError`` unless ``kernel`` names a DP kernel."""
+    if kernel == "wavefront":
+        raise ValueError("DP kernel 'wavefront' was removed; use 'band'")
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown DP kernel {kernel!r}; expected one of {KERNELS}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,226 @@ class _HalfResult:
     qi: int  # rows consumed (query bases)
     sj: int  # cols consumed (subject bases)
     path: Optional[np.ndarray]
+
+
+#: Placeholder at index 0 of the 1-based base lists; equals no base code.
+_NO_BASE = -2
+#: Bases converted per refill of a half's base list (then doubling).
+_CHUNK = 1024
+
+
+def _refill(
+    buf: List[int],
+    codes: np.ndarray,
+    origin: int,
+    step: int,
+    size: int,
+    need: int,
+    mask_ambiguous: bool,
+) -> None:
+    """Extend the 1-based base list ``buf`` of one half to cover base ``need``.
+
+    Base ``t`` of the half is ``codes[origin + t - 1]`` walking right
+    (``step=1``) or ``codes[origin - t]`` walking left (``step=-1``); at most
+    ``size`` bases exist. Refills double, so a half converts O(bases
+    reached), never the whole sequence. With ``mask_ambiguous`` codes >= 4
+    become -1, so one equality test decides a match on both sides.
+    """
+    have = len(buf) - 1
+    upto = min(size, max(need, 2 * have, _CHUNK))
+    if step > 0:
+        seg = codes[origin + have : origin + upto]
+    else:
+        seg = codes[origin - upto : origin - have][::-1]
+    if mask_ambiguous:
+        seg = np.where(seg < 4, seg.astype(np.int64), -1)
+    buf.extend(seg.tolist())
+
+
+def _band_half(
+    q_codes: np.ndarray,
+    s_codes: np.ndarray,
+    q0: int,
+    s0: int,
+    step: int,
+    reward: int,
+    penalty: int,
+    gap_open: int,
+    gap_extend: int,
+    x_drop: int,
+    absolute_drop: bool,
+    keep_traceback: bool,
+) -> _HalfResult:
+    """One-direction gapped x-drop DP on plain ints over each row's band.
+
+    Row ``i`` aligns the ``i``-th query base walking away from the anchor
+    ``(q0, s0)`` in direction ``step`` (column ``j`` likewise for the
+    subject). The recurrence, the band bookkeeping, the first-maximum
+    tie-break and the traceback's predecessor order are the row-loop
+    oracle's (:func:`_half_extension`), so results are byte-identical.
+    """
+    if step > 0:
+        m = int(q_codes.shape[0]) - q0
+        n = int(s_codes.shape[0]) - s0
+    else:
+        m, n = q0, s0
+    go, ge, x_drop = int(gap_open), int(gap_extend), int(x_drop)
+    goe = go + ge
+    rw, pn = int(reward), int(penalty)
+    neg = int(NEG_INF)
+    ql = [_NO_BASE]
+    sl = [_NO_BASE]
+    best = bi = bj = 0
+    cutoff = -x_drop
+
+    # Row 0: H[0][j] = -(gap_open + gap_extend*j) for the columns a single gap
+    # keeps above the cutoff; the origin (score 0) always survives.
+    budget = x_drop - go
+    reach0 = min(n, budget // ge) if budget >= 0 else 0
+    hp = [0] + [-(go + ge * j) for j in range(1, reach0 + 1)]
+    fp = [neg] * len(hp)
+    lo = 0
+    rows: List[Tuple[int, List[int]]] = [(0, hp)]
+
+    for i in range(1, m + 1):
+        if not absolute_drop:
+            cutoff = best - x_drop
+        hi_p = lo + len(hp)  # previous row's band is [lo, hi_p)
+        if i >= len(ql):
+            _refill(ql, q_codes, q0, step, m, i, True)
+        last_col = hi_p if hi_p <= n else n
+        if last_col >= len(sl):
+            _refill(sl, s_codes, s0, step, n, last_col, False)
+        qc = ql[i]
+        hrow: List[int] = []
+        frow: List[int] = []
+        h_push = hrow.append
+        f_push = frow.append
+
+        # Columns [lo, hi_p): diagonal, vertical and horizontal predecessors.
+        hd = neg  # H[i-1][j-1]; the column left of the band is dead
+        g = neg  # max(E, H - gap_open) of the column to the left
+        for hu, fu, sc in zip(hp, fp, sl[lo:hi_p]):
+            d = hd + (rw if sc == qc else pn)
+            f = fu - ge
+            t = hu - goe
+            if t > f:
+                f = t
+            if f > d:
+                d = f
+            g -= ge  # E of this column
+            if g > d:
+                d = g
+            h_push(d)
+            f_push(f)
+            t = d - go
+            if t > g:
+                g = t
+            hd = hu
+        if hi_p <= n:
+            # Column hi_p has only a diagonal predecessor (and E); the columns
+            # after it only E. Pad right while one horizontal gap stays above
+            # the cutoff: those are the only pad cells the trim below keeps.
+            d = hd + (rw if sl[hi_p] == qc else pn)
+            g -= ge
+            if g > d:
+                d = g
+            h_push(d)
+            f_push(neg)
+            t = d - go
+            if t > g:
+                g = t
+            for _ in range(n - hi_p):
+                g -= ge
+                if g < cutoff:
+                    break
+                h_push(g)
+                f_push(neg)
+
+        row_best = max(hrow)
+        if row_best > best:
+            best, bi, bj = row_best, i, lo + hrow.index(row_best)
+            if not absolute_drop:
+                cutoff = best - x_drop
+        if row_best < cutoff:
+            break
+        # Trim the dead edges; interior sub-cutoff cells stay (they can revive).
+        a, b = 0, len(hrow)
+        while hrow[a] < cutoff:
+            a += 1
+        while hrow[b - 1] < cutoff:
+            b -= 1
+        if a or b < len(hrow):
+            hrow, frow = hrow[a:b], frow[a:b]
+            lo += a
+        hp, fp = hrow, frow
+        if keep_traceback:
+            rows.append((lo, hp))
+
+    path = None
+    if keep_traceback:
+        path = _band_traceback(rows, bi, bj, best, ql, sl, rw, pn, go, ge)
+    return _HalfResult(score=best, qi=bi, sj=bj, path=path)
+
+
+def _band_traceback(
+    rows: List[Tuple[int, List[int]]],
+    bi: int,
+    bj: int,
+    best: int,
+    ql: List[int],
+    sl: List[int],
+    reward: int,
+    penalty: int,
+    gap_open: int,
+    gap_extend: int,
+) -> np.ndarray:
+    """Op path from (0, 0) to the best cell, in the oracle's predecessor order.
+
+    Diagonal first, then vertical gaps by increasing length, then horizontal
+    ones. No stored cell scores above ``best``, so a gap of length ``g`` is
+    only possible while ``H + gap_open + gap_extend·g <= best``: each scan
+    stops there (or at the row's band edge) instead of at the matrix edge.
+    """
+    ops: List[int] = []
+    i, j = bi, bj
+    lo, hr = rows[i]
+    h = hr[j - lo]
+    while i > 0 or j > 0:
+        if i > 0 and j > 0:
+            plo, ph = rows[i - 1]
+            k = j - 1 - plo
+            if 0 <= k < len(ph) and h == ph[k] + (reward if ql[i] == sl[j] else penalty):
+                ops.append(OP_DIAG)
+                i -= 1
+                j -= 1
+                h = ph[k]
+                continue
+        reach = (best - h - gap_open) // gap_extend
+        target = h + gap_open
+        moved = False
+        for g in range(1, min(i, reach) + 1):  # vertical: consumes query
+            plo, ph = rows[i - g]
+            k = j - plo
+            if 0 <= k < len(ph) and ph[k] == target + gap_extend * g:
+                ops.extend([OP_SGAP] * g)
+                i -= g
+                h = ph[k]
+                moved = True
+                break
+        if moved:
+            continue
+        lo, hr = rows[i]
+        for g in range(1, min(j - lo, reach) + 1):  # horizontal: consumes subject
+            if hr[j - lo - g] == target + gap_extend * g:
+                ops.extend([OP_QGAP] * g)
+                j -= g
+                h = hr[j - lo]
+                moved = True
+                break
+        if not moved:  # pragma: no cover - would indicate a DP bug
+            raise RuntimeError(f"no predecessor found for cell ({i}, {j})")
+    return np.array(ops[::-1], dtype=np.uint8)
 
 
 def _window(arr: np.ndarray, arr_lo: int, lo: int, hi: int) -> np.ndarray:
@@ -292,30 +520,6 @@ def _validate_affine(gap_open: int, gap_extend: int, x_drop: int) -> None:
         raise ValueError(f"x_drop must be non-negative, got {x_drop}")
 
 
-def _run_half(
-    kernel: str,
-    q: np.ndarray,
-    s: np.ndarray,
-    reward: int,
-    penalty: int,
-    gap_open: int,
-    gap_extend: int,
-    x_drop: int,
-    absolute_drop: bool,
-    keep_traceback: bool,
-) -> _HalfResult:
-    if kernel == "wavefront":
-        score, qi, sj, path = wavefront_half_extension(
-            q, s, reward, penalty, gap_open, gap_extend, x_drop,
-            absolute_drop, keep_traceback,
-        )
-        return _HalfResult(score=score, qi=qi, sj=sj, path=path)
-    return _half_extension(
-        q, s, reward, penalty, gap_open, gap_extend, x_drop,
-        absolute_drop, keep_traceback,
-    )
-
-
 def extend_gapped(
     q_codes: np.ndarray,
     s_codes: np.ndarray,
@@ -328,7 +532,7 @@ def extend_gapped(
     x_drop: int,
     absolute_drop: bool = False,
     keep_traceback: bool = True,
-    kernel: str = "wavefront",
+    kernel: str = KERNELS[0],
 ) -> GappedExtension:
     """Gapped x-drop extension around the anchor pair (both directions).
 
@@ -338,30 +542,30 @@ def extend_gapped(
     origin, not an aligned column, so nothing is double-counted).
 
     ``kernel`` selects the DP implementation (see module docstring):
-    ``"wavefront"`` (batched, default) or ``"rowloop"`` (reference oracle).
-    Both produce byte-identical results.
+    ``"band"`` (scalar narrow band, default) or ``"rowloop"`` (reference
+    oracle). Both produce byte-identical results.
     """
     if not (0 <= anchor_q <= q_codes.shape[0] and 0 <= anchor_s <= s_codes.shape[0]):
         raise ValueError(
             f"anchor ({anchor_q}, {anchor_s}) outside sequences "
             f"({q_codes.shape[0]}, {s_codes.shape[0]})"
         )
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown DP kernel {kernel!r}; expected one of {KERNELS}")
+    check_kernel(kernel)
     _validate_affine(gap_open, gap_extend, x_drop)
-    # Materialize the reversed prefixes once per extension: a negative-stride
-    # view would otherwise force a hidden copy inside every windowing /
-    # tile-gather operation of the DP below.
-    q_left = np.ascontiguousarray(q_codes[:anchor_q][::-1])
-    s_left = np.ascontiguousarray(s_codes[:anchor_s][::-1])
-    right = _run_half(
-        kernel, q_codes[anchor_q:], s_codes[anchor_s:], reward, penalty,
-        gap_open, gap_extend, x_drop, absolute_drop, keep_traceback,
-    )
-    left = _run_half(
-        kernel, q_left, s_left, reward, penalty,
-        gap_open, gap_extend, x_drop, absolute_drop, keep_traceback,
-    )
+    scoring = (reward, penalty, gap_open, gap_extend, x_drop, absolute_drop, keep_traceback)
+    if kernel == "band":
+        # The band kernel walks the left half backwards in place.
+        right = _band_half(q_codes, s_codes, anchor_q, anchor_s, 1, *scoring)
+        left = _band_half(q_codes, s_codes, anchor_q, anchor_s, -1, *scoring)
+    else:
+        right = _half_extension(q_codes[anchor_q:], s_codes[anchor_s:], *scoring)
+        # Materialize the reversed prefixes once: a negative-stride view would
+        # force a hidden copy inside every windowing operation of the oracle.
+        left = _half_extension(
+            np.ascontiguousarray(q_codes[:anchor_q][::-1]),
+            np.ascontiguousarray(s_codes[:anchor_s][::-1]),
+            *scoring,
+        )
     path = None
     if keep_traceback:
         assert left.path is not None and right.path is not None

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from repro.blast.gapped import KERNELS, check_kernel
 from repro.util.validation import check_positive
 
 
@@ -45,9 +46,11 @@ class BlastParams:
         Mask low-complexity query regions (DUST-like) before seeding.
         Disabled by default; see :mod:`repro.blast.dust`.
     dp_kernel:
-        Gapped-extension DP kernel: ``"wavefront"`` (default, batched) or
-        ``"rowloop"`` (the reference oracle). Both are byte-identical; the
-        oracle exists for differential testing and debugging.
+        Gapped-extension DP kernel, one of
+        :data:`repro.blast.gapped.KERNELS`: ``"band"`` (default, the scalar
+        narrow-band kernel) or ``"rowloop"`` (the reference oracle). Both
+        are byte-identical; the oracle exists for differential testing and
+        debugging.
     """
 
     k: int = 11
@@ -61,7 +64,7 @@ class BlastParams:
     ungapped_threshold: Optional[int] = None
     two_hit_window: Optional[int] = None
     dust: bool = False
-    dp_kernel: str = "wavefront"
+    dp_kernel: str = KERNELS[0]
 
     def __post_init__(self) -> None:
         check_positive("k", self.k)
@@ -79,10 +82,7 @@ class BlastParams:
             check_positive("ungapped_threshold", self.ungapped_threshold)
         if self.two_hit_window is not None:
             check_positive("two_hit_window", self.two_hit_window)
-        if self.dp_kernel not in ("wavefront", "rowloop"):
-            raise ValueError(
-                f"dp_kernel must be 'wavefront' or 'rowloop', got {self.dp_kernel!r}"
-            )
+        check_kernel(self.dp_kernel)
         # The Karlin–Altschul model requires negative expected score per
         # aligned pair; for uniform bases that is reward/4 + 3*|penalty|/4... <0.
         if self.reward + 3 * self.penalty >= 0:

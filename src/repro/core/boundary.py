@@ -8,10 +8,10 @@ neighbouring fragment) get boundary treatment; the true ends of the original
 query behave exactly like serial BLAST.
 
 Speculative extension runs the same gapped DP with the absolute drop rule;
-which kernel executes it (the batched wavefront or the row-loop oracle) is
-selected by :attr:`repro.blast.params.BlastParams.dp_kernel` and threaded
-through the engine — both kernels are byte-identical, so fragment results
-never depend on the choice.
+which kernel executes it (the scalar narrow-band kernel or the row-loop
+oracle) is selected by :attr:`repro.blast.params.BlastParams.dp_kernel` and
+threaded through the engine — both kernels are byte-identical, so fragment
+results never depend on the choice.
 """
 
 from __future__ import annotations

@@ -158,10 +158,14 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="x_drop"):
             extend_gapped(self.q, self.q, 4, 4, 1, -3, 5, 2, -1)
 
-    @pytest.mark.parametrize("kernel", ["rowloop", "wavefront"])
+    @pytest.mark.parametrize("kernel", ["rowloop", "band"])
     def test_validation_applies_to_both_kernels(self, kernel):
         with pytest.raises(ValueError, match="gap_extend"):
             extend_gapped(self.q, self.q, 4, 4, 1, -3, 5, 0, 15, kernel=kernel)
+
+    def test_retired_wavefront_kernel_names_band(self):
+        with pytest.raises(ValueError, match="'band'"):
+            extend_gapped(self.q, self.q, 4, 4, 1, -3, 5, 2, 15, kernel="wavefront")
 
     def test_unknown_kernel_raises_value_error(self):
         with pytest.raises(ValueError, match="kernel"):
@@ -173,16 +177,22 @@ class TestParameterValidation:
 
 
 class TestReversedHalfMaterialization:
-    """Regression: the left half must see a contiguous reversed prefix.
+    """The left half must equal a forward half over the reversed prefixes.
 
-    ``q_codes[:anchor][::-1]`` is a negative-stride view; ``extend_gapped``
-    materializes it once per call. Same alignment either way — this pins the
-    behaviour while exercising anchors at every position of a small pair.
+    The band kernel walks the left half backwards in place; the oracle
+    materializes ``q_codes[:anchor][::-1]`` once per call. Either way the
+    result must match feeding the negative-stride reversed views straight
+    into the half kernel, at every anchor of a small pair.
     """
 
-    @pytest.mark.parametrize("kernel", ["rowloop", "wavefront"])
+    @pytest.mark.parametrize("kernel", ["rowloop", "band"])
     def test_every_anchor_matches_negative_stride_views(self, kernel):
-        from repro.blast.gapped import _run_half
+        from repro.blast.gapped import _band_half, _half_extension
+
+        def _run_half(kernel, q, s, *args):
+            if kernel == "band":
+                return _band_half(q, s, 0, 0, 1, *args)
+            return _half_extension(q, s, *args)
 
         rng = np.random.default_rng(11)
         base = random_bases(rng, 64)

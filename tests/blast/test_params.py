@@ -42,6 +42,14 @@ class TestBlastParamsValidation:
         with pytest.raises(ValueError, match="expected per-base score"):
             BlastParams(reward=9, penalty=-1)
 
+    def test_dp_kernel_names(self):
+        assert BlastParams().dp_kernel == "band"
+        assert BlastParams(dp_kernel="rowloop").dp_kernel == "rowloop"
+        with pytest.raises(ValueError, match="'band'"):
+            BlastParams(dp_kernel="wavefront")
+        with pytest.raises(ValueError, match="kernel"):
+            BlastParams(dp_kernel="simd")
+
     def test_with_overrides(self):
         p = BlastParams().with_overrides(k=13)
         assert p.k == 13

@@ -85,13 +85,13 @@ class TestGappedProperties:
         short_dna,
         seeds,
         st.booleans(),
-        st.sampled_from(["wavefront", "rowloop"]),
+        st.sampled_from(["band", "rowloop"]),
     )
     @settings(max_examples=60)
     def test_traceback_score_consistency(self, q, s, seed, absolute_drop, kernel):
         """A returned path always rescores to GappedExtension.score.
 
-        This is the guardrail that catches any drift in the batched
+        This is the guardrail that catches any drift in the band kernel's
         traceback: it holds for both drop rules, across random anchors, and
         for both DP kernels.
         """
